@@ -4,12 +4,19 @@ A :class:`SampleResult` is what weak simulation produces: a multiset of
 measured bitstrings (stored as counts per basis index) plus timing
 metadata.  This is also the shape of data a physical quantum computer
 returns after repeated runs — the object weak simulation mimics.
+
+The counts live in two parallel NumPy arrays, ``outcomes`` (basis
+indices) and ``frequencies``, kept in the counts' iteration order.
+Aggregating shots is then one ``np.unique``, and the service formats
+and encodes counts straight from the arrays (:meth:`SampleResult.counts_json`)
+without building a Python dict.  The familiar ``counts`` dict is a view
+built on first access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Tuple
+import json
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -17,19 +24,101 @@ from ..exceptions import SamplingError
 
 __all__ = ["SampleResult"]
 
+#: Outcomes formatted per block, bounding the scratch matrices to a few
+#: megabytes however many distinct outcomes a result holds.
+_FORMAT_BLOCK = 1 << 16
 
-@dataclass
+
+def _outcome_array(keys: List[Any]) -> np.ndarray:
+    """Basis indices as ``uint64``; ``object`` for keys outside ``[0, 2^64)``."""
+    try:
+        return np.array(keys, dtype=np.uint64)
+    except (OverflowError, TypeError, ValueError):
+        return np.array(keys, dtype=object)
+
+
+def _bit_chars(keys: np.ndarray, width: int) -> np.ndarray:
+    """``(len(keys), width)`` matrix of ASCII bits, most significant first.
+
+    ``keys`` must be ``uint64`` and below ``2**width``; columns past the
+    64th are zero padding, as ``format(key, f"0{width}b")`` would emit.
+    """
+    significant = min(width, 64)
+    nbytes = (significant + 7) // 8
+    big_endian = keys.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
+    chars = np.unpackbits(big_endian, axis=1)[:, 8 * nbytes - significant:]
+    chars += ord("0")
+    if width > 64:
+        pad = np.full((len(keys), width - 64), ord("0"), dtype=np.uint8)
+        chars = np.hstack([pad, chars])
+    return chars
+
+
+def _json_rows(bits: np.ndarray, frequencies: np.ndarray) -> bytes:
+    """``"bits": count, `` for every row, as ``json.dumps`` would write it.
+
+    Each row is laid out at a fixed width with the count right-aligned
+    over zero bytes; dropping the zero bytes leaves the exact text.
+    """
+    rows, width = bits.shape
+    digits = len(str(int(frequencies.max())))
+    matrix = np.empty((rows, width + digits + 6), dtype=np.uint8)
+    matrix[:, 0] = ord('"')
+    matrix[:, 1 : width + 1] = bits
+    matrix[:, width + 1 : width + 4] = np.frombuffer(b'": ', dtype=np.uint8)
+    powers = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+    column = frequencies[:, None]
+    text = (column // powers % 10 + ord("0")).astype(np.uint8)
+    text[(column < powers) & (powers > 1)] = 0
+    matrix[:, width + 4 : width + 4 + digits] = text
+    matrix[:, -2:] = np.frombuffer(b", ", dtype=np.uint8)
+    flat = matrix.ravel()
+    return flat[flat != 0].tobytes()
+
+
 class SampleResult:
-    """Counts of measured bitstrings from one weak-simulation run."""
+    """Counts of measured bitstrings from one weak-simulation run.
 
-    num_qubits: int
-    counts: Dict[int, int]
-    method: str = "unknown"
-    precompute_seconds: float = 0.0
-    sampling_seconds: float = 0.0
-    #: Free-form diagnostics (DD/table statistics, worker counts, …);
-    #: not part of the statistical result.
-    metadata: Dict[str, Any] = field(default_factory=dict)
+    Construct from a ``counts`` dict, or from parallel ``outcomes`` /
+    ``frequencies`` arrays (:meth:`from_samples` does the latter).
+    Either way the iteration order of ``counts`` is the order given.
+    """
+
+    def __init__(
+        self,
+        num_qubits: int,
+        counts: Optional[Dict[int, int]] = None,
+        method: str = "unknown",
+        precompute_seconds: float = 0.0,
+        sampling_seconds: float = 0.0,
+        metadata: Optional[Dict[str, Any]] = None,
+        *,
+        outcomes: Optional[np.ndarray] = None,
+        frequencies: Optional[np.ndarray] = None,
+    ):
+        self.num_qubits = num_qubits
+        self.method = method
+        self.precompute_seconds = precompute_seconds
+        self.sampling_seconds = sampling_seconds
+        #: Free-form diagnostics (DD/table statistics, worker counts, …);
+        #: not part of the statistical result.
+        self.metadata: Dict[str, Any] = {} if metadata is None else metadata
+        if outcomes is None:
+            self.counts = {} if counts is None else counts
+        else:
+            if counts is not None:
+                raise SamplingError("pass counts or outcome arrays, not both")
+            self._set_arrays(outcomes, frequencies)
+
+    def _set_arrays(self, outcomes: np.ndarray, frequencies: Any) -> None:
+        frequencies = np.asarray(frequencies, dtype=np.int64)
+        if outcomes.dtype != object:
+            outcomes = outcomes.astype(np.uint64, copy=False)
+        if outcomes.shape != frequencies.shape or outcomes.ndim != 1:
+            raise SamplingError("outcomes and frequencies must be equal-length 1-D")
+        self._outcomes = outcomes
+        self._frequencies = frequencies
+        self._counts: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -44,19 +133,67 @@ class SampleResult:
         precompute_seconds: float = 0.0,
         sampling_seconds: float = 0.0,
     ) -> "SampleResult":
-        """Aggregate raw basis-index samples into counts."""
+        """Aggregate raw basis-index samples into counts (ascending index)."""
         array = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples)
         if array.size and (array.min() < 0 or array.max() >= 2**num_qubits):
             raise SamplingError("sample index outside the basis-state range")
         values, frequencies = np.unique(array, return_counts=True)
-        counts = {int(v): int(f) for v, f in zip(values, frequencies)}
         return cls(
             num_qubits=num_qubits,
-            counts=counts,
             method=method,
             precompute_seconds=precompute_seconds,
             sampling_seconds=sampling_seconds,
+            outcomes=_outcome_array(values.tolist()) if values.dtype == object else values,
+            frequencies=frequencies,
         )
+
+    # ------------------------------------------------------------------
+    # Storage
+    # ------------------------------------------------------------------
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        """Distinct basis indices in iteration order (``uint64``).
+
+        ``object`` dtype only for indices outside ``[0, 2^64)``.
+        Assigning re-keys the result in place (same order, same
+        frequencies) — how reordered samples move back to qubit order.
+        """
+        return self._outcomes
+
+    @outcomes.setter
+    def outcomes(self, values: np.ndarray) -> None:
+        """Re-key the outcomes; their number and order stay."""
+        if len(values) != len(self._outcomes):
+            raise SamplingError("re-keyed outcomes must keep their number")
+        self._set_arrays(np.asarray(values), self._frequencies)
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """How often each of :attr:`outcomes` was drawn (``int64``)."""
+        return self._frequencies
+
+    @property
+    def counts(self) -> Dict[int, int]:
+        """``{basis index: count}`` in iteration order, built on first use.
+
+        A view: assign a new dict to replace the counts rather than
+        mutating this one.
+        """
+        if self._counts is None:
+            self._counts = dict(
+                zip(self._outcomes.tolist(), self._frequencies.tolist())
+            )
+        return self._counts
+
+    @counts.setter
+    def counts(self, counts: Dict[int, int]) -> None:
+        """Replace the counts; the dict's order becomes the arrays' order."""
+        self._set_arrays(
+            _outcome_array(list(counts)),
+            np.fromiter(counts.values(), dtype=np.int64, count=len(counts)),
+        )
+        self._counts = counts
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -65,7 +202,7 @@ class SampleResult:
     @property
     def shots(self) -> int:
         """Total number of recorded samples."""
-        return sum(self.counts.values())
+        return int(self._frequencies.sum())
 
     @property
     def total_seconds(self) -> float:
@@ -75,7 +212,7 @@ class SampleResult:
     @property
     def distinct_outcomes(self) -> int:
         """Number of different bitstrings observed."""
-        return len(self.counts)
+        return len(self._outcomes)
 
     def frequency(self, index: int) -> float:
         """Empirical probability estimate of basis state ``index``."""
@@ -84,16 +221,99 @@ class SampleResult:
             raise SamplingError("no samples recorded")
         return self.counts.get(index, 0) / shots
 
+    def _vectorisable(self, rows: np.ndarray) -> bool:
+        """Whether the array formatter reproduces ``format`` for ``rows``."""
+        if self._outcomes.dtype == object or self.num_qubits < 1:
+            return False
+        if not rows.size:
+            return True
+        if self.num_qubits < 64 and int(self._outcomes[rows].max()) >> self.num_qubits:
+            return False
+        return int(self._frequencies[rows].min()) >= 0
+
+    def _bitstrings(self, rows: np.ndarray) -> List[str]:
+        """The bitstrings of ``outcomes[rows]``, in ``rows`` order."""
+        width = self.num_qubits
+        keys = self._outcomes[rows]
+        if not self._vectorisable(rows):
+            return [format(key, f"0{width}b") for key in keys.tolist()]
+        if not rows.size:
+            return []
+        chars = np.ascontiguousarray(_bit_chars(keys, width))
+        return chars.view(f"S{width}").ravel().astype(f"U{width}").tolist()
+
     def bitstring_counts(self) -> Dict[str, int]:
         """Counts keyed by bitstrings ``q_{n-1} ... q_0``."""
-        width = self.num_qubits
-        return {format(k, f"0{width}b"): v for k, v in self.counts.items()}
+        rows = np.arange(self.distinct_outcomes)
+        return dict(zip(self._bitstrings(rows), self._frequencies.tolist()))
+
+    def _ranked(self, limit: Optional[int] = None) -> np.ndarray:
+        """Row indices by descending count, ties by ascending index.
+
+        ``limit`` keeps the first ``limit`` (slice semantics); when it
+        cuts, the cut is made with a partition before anything is
+        sorted.
+        """
+        outcomes, frequencies = self._outcomes, self._frequencies
+        size = len(outcomes)
+        if outcomes.dtype == object:
+            order = sorted(range(size), key=lambda i: (-frequencies[i], outcomes[i]))
+            return np.array(order, dtype=np.intp)[:limit]
+        if limit is None or not 0 <= limit < size:
+            return np.lexsort((outcomes, -frequencies))[:limit]
+        if limit == 0:
+            return np.zeros(0, dtype=np.intp)
+        kth = size - limit
+        threshold = np.partition(frequencies, kth)[kth]
+        chosen = np.flatnonzero(frequencies > threshold)
+        tied = np.flatnonzero(frequencies == threshold)
+        needed = limit - len(chosen)
+        if needed < len(tied):
+            tied = tied[np.argsort(outcomes[tied], kind="stable")[:needed]]
+        chosen = np.concatenate([chosen, tied])
+        return chosen[np.lexsort((outcomes[chosen], -frequencies[chosen]))]
 
     def most_common(self, limit: int = 10) -> List[Tuple[str, int]]:
         """The ``limit`` most frequent outcomes as (bitstring, count)."""
-        ranked = sorted(self.counts.items(), key=lambda item: (-item[1], item[0]))
-        width = self.num_qubits
-        return [(format(k, f"0{width}b"), v) for k, v in ranked[:limit]]
+        rows = self._ranked(limit)
+        return list(zip(self._bitstrings(rows), self._frequencies[rows].tolist()))
+
+    def _cut(self, top: Optional[int] = None) -> Tuple[np.ndarray, Optional[int]]:
+        """The rows a ``top``-capped response emits, and how many it drops.
+
+        All rows in iteration order when ``top`` is ``None`` or reaches
+        the number of distinct outcomes (and ``None`` dropped); else the
+        ``top`` most frequent rows in :meth:`most_common` order.
+        """
+        size = self.distinct_outcomes
+        if top is None or size <= top:
+            return np.arange(size), None
+        if top < 0:
+            raise SamplingError(f"top must be non-negative, got {top}")
+        return self._ranked(top), size - top
+
+    def counts_json(self, top: Optional[int] = None) -> Tuple[bytes, Optional[int]]:
+        """The bitstring counts as one JSON object, plus how many were cut.
+
+        Returns the bytes ``json.dumps`` would write for
+        ``bitstring_counts()`` — or, when ``top`` is below the number of
+        distinct outcomes, for ``dict(most_common(top))`` — and the
+        number of outcomes ``top`` left out (``None`` when none were).
+        Formatting runs on the arrays in blocks; no per-outcome Python
+        object is made.
+        """
+        rows, truncated = self._cut(top)
+        if not rows.size:
+            return b"{}", truncated
+        if not self._vectorisable(rows):
+            counts = dict(zip(self._bitstrings(rows), self._frequencies[rows].tolist()))
+            return json.dumps(counts).encode("utf-8"), truncated
+        parts = []
+        for start in range(0, len(rows), _FORMAT_BLOCK):
+            block = rows[start : start + _FORMAT_BLOCK]
+            bits = _bit_chars(self._outcomes[block], self.num_qubits)
+            parts.append(_json_rows(bits, self._frequencies[block]))
+        return b"{" + b"".join(parts)[:-2] + b"}", truncated
 
     # ------------------------------------------------------------------
     # Derived distributions
@@ -149,8 +369,6 @@ class SampleResult:
 
     def to_json(self) -> str:
         """Serialise to JSON (counts keyed by bitstring for readability)."""
-        import json
-
         payload = {
             "format": "repro-samples",
             "num_qubits": self.num_qubits,
@@ -166,8 +384,6 @@ class SampleResult:
     @classmethod
     def from_json(cls, text: str) -> "SampleResult":
         """Inverse of :meth:`to_json`."""
-        import json
-
         payload = json.loads(text)
         if payload.get("format") != "repro-samples":
             raise SamplingError("not a repro-samples document")
@@ -185,9 +401,22 @@ class SampleResult:
         if self.num_qubits > 24:
             raise SamplingError("dense count vector beyond 24 qubits refused")
         dense = np.zeros(2**self.num_qubits, dtype=np.int64)
-        for key, value in self.counts.items():
-            dense[key] = value
+        dense[self._outcomes.astype(np.int64)] = self._frequencies
         return dense
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SampleResult):
+            return NotImplemented
+        return (
+            self.num_qubits == other.num_qubits
+            and self.counts == other.counts
+            and self.method == other.method
+            and self.precompute_seconds == other.precompute_seconds
+            and self.sampling_seconds == other.sampling_seconds
+            and self.metadata == other.metadata
+        )
+
+    __hash__ = None  # mutable, so unhashable
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

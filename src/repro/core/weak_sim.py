@@ -30,7 +30,7 @@ from .. import telemetry as _telemetry
 from ..circuit.circuit import QuantumCircuit
 from ..dd.approximation import ApproximationConfig
 from ..dd.normalization import NormalizationScheme
-from ..dd.reorder import ReorderConfig, is_identity_permutation, unpermute_counts
+from ..dd.reorder import ReorderConfig, is_identity_permutation, unpermute_samples
 from ..dd.vector_dd import VectorDD
 from ..exceptions import SamplingError
 from ..noise.model import NoiseModel
@@ -381,8 +381,9 @@ def simulate_and_sample(
             ):
                 # Samples were drawn in level space; re-key the counts
                 # back to original qubit order (a bijection on basis
-                # indices, so the shot total is preserved exactly).
-                result.counts = unpermute_counts(result.counts, level_to_qubit)
+                # indices, so the shot total and the counts' order are
+                # preserved exactly).
+                result.outcomes = unpermute_samples(result.outcomes, level_to_qubit)
             result.metadata["build"] = _build_metadata(dd_simulator.stats)
             return result
         raise SamplingError(f"unknown weak-simulation method {method!r}")

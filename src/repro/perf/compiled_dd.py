@@ -34,6 +34,7 @@ __all__ = [
     "CompiledDD",
     "CompiledDDCache",
     "DEFAULT_CACHE",
+    "WALK_BYTES_PER_SHOT",
     "compile_edge",
     "compile_probability_edge",
 ]
@@ -51,6 +52,12 @@ _DENSE_QUBIT_CAP = 26
 
 #: Vectorised sampling packs outcomes into int64.
 _PACKED_QUBIT_CAP = 62
+
+#: Peak bytes the shot walk and its count aggregation hold per shot:
+#: about five int64/float64 per-shot buffers are live at once (41 B
+#: measured with ``tracemalloc`` at 1M shots), rounded up.  The service
+#: refuses shot counts whose buffers would exceed its memory cap.
+WALK_BYTES_PER_SHOT = 48
 
 
 class CompiledDD:

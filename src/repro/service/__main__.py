@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import tempfile
@@ -48,7 +49,7 @@ from ..circuit.circuit import QuantumCircuit
 from ..exceptions import ReproError
 from .api import SamplingRequest, SamplingResponse, SamplingService
 
-__all__ = ["main", "resolve_circuit", "run_batch"]
+__all__ = ["int_field", "main", "resolve_circuit", "run_batch"]
 
 _SUPREMACY_NAME = re.compile(r"^supremacy_(\d+)x(\d+)_(\d+)$")
 _FAMILY_NAME = re.compile(r"^(qft|grover|ghz|w)_(\d+)$")
@@ -117,6 +118,36 @@ def resolve_circuit(spec: Any) -> QuantumCircuit:
     )
 
 
+def int_field(record: Dict[str, Any], name: str, default: Any = None) -> Any:
+    """An integer record field, or ``default`` when absent or null.
+
+    JSON integers only: a bool, a float (``1e400`` parses as infinity),
+    a string or a list raises :class:`~repro.exceptions.ReproError`, so
+    a malformed number becomes a ``rejected`` record (HTTP 400) instead
+    of an ``OverflowError``/``TypeError`` escaping the parser.
+    """
+    value = record.get(name)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ReproError(f"'{name}' must be a JSON integer, got {value!r}")
+    return value
+
+
+def _seconds_field(record: Dict[str, Any], name: str) -> Optional[float]:
+    """A finite, numeric seconds field, or ``None`` when absent or null."""
+    value = record.get(name)
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ReproError(f"'{name}' must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _request_from_record(
     record: Dict[str, Any], default_kernel: str = "auto"
 ) -> SamplingRequest:
@@ -129,22 +160,19 @@ def _request_from_record(
         raise ReproError("request is missing the 'circuit' field")
     if "shots" not in record:
         raise ReproError("request is missing the 'shots' field")
+    shots = int_field(record, "shots")
+    if shots is None:
+        raise ReproError("'shots' must be a JSON integer, got None")
     circuit = resolve_circuit(record["circuit"])
     return SamplingRequest(
         circuit=circuit,
-        shots=int(record["shots"]),
-        seed=None if record.get("seed") is None else int(record["seed"]),
+        shots=shots,
+        seed=int_field(record, "seed"),
         method=str(record.get("method", "dd")),
-        workers=(
-            None if record.get("workers") is None else int(record["workers"])
-        ),
+        workers=int_field(record, "workers"),
         optimize=bool(record.get("optimize", True)),
-        initial_state=int(record.get("initial_state", 0)),
-        deadline_seconds=(
-            None
-            if record.get("deadline_seconds") is None
-            else float(record["deadline_seconds"])
-        ),
+        initial_state=int_field(record, "initial_state", 0),
+        deadline_seconds=_seconds_field(record, "deadline_seconds"),
         request_id=(
             None
             if record.get("request_id") is None
@@ -188,7 +216,7 @@ def run_batch(
             if not isinstance(record, dict):
                 raise ReproError("request line must be a JSON object")
             request = _request_from_record(record, default_kernel=default_kernel)
-        except (ValueError, ReproError, OSError) as error:
+        except (ValueError, TypeError, ReproError, OSError) as error:
             slots.append(
                 SamplingResponse(
                     request_id=None,
@@ -207,9 +235,20 @@ def run_batch(
         assert response is not None
         if not response.ok:
             failures += 1
-        sink.write(json.dumps(response.to_dict(top=top)) + "\n")
+        sink.write(response.encode(top=top).decode("utf-8"))
     sink.flush()
     return failures
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for ``--top``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--top",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="N",
         help="emit only the N most frequent outcomes per response",

@@ -31,6 +31,7 @@ that strong simulation was skipped); counters land under ``service.*``
 from __future__ import annotations
 
 import collections
+import json
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError
@@ -58,16 +59,38 @@ from ..dd.reorder import (
 )
 from ..exceptions import DDError, MemoryOutError, NoiseError, ReproError
 from ..noise.model import NoiseModel
-from ..perf.compiled_dd import CompiledDD
+from ..perf.compiled_dd import WALK_BYTES_PER_SHOT, CompiledDD
 from ..perf.parallel import DEFAULT_CHUNK_SHOTS, sample_chunked
+from ..simulators.statevector import DEFAULT_MEMORY_CAP
 from .keys import cache_key
 from .scheduler import AdmissionError, BuildOutcome, BuildScheduler, ServicePolicy
 from .store import DEFAULT_MAX_BYTES, ArtifactStore
 
-__all__ = ["SamplingRequest", "SamplingResponse", "SamplingService"]
+__all__ = ["SamplingRequest", "SamplingResponse", "SamplingService", "check_top"]
 
 #: Default number of CompiledDD artifacts pinned in process memory.
 DEFAULT_HOT_ENTRIES = 8
+
+
+def _is_count(value: Any) -> bool:
+    """Whether ``value`` is a non-negative integer (and not a bool)."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= 0
+    )
+
+
+def check_top(top: Any) -> Optional[int]:
+    """``top`` if it is ``None`` or a non-negative integer; else raise.
+
+    Raises :class:`~repro.exceptions.ReproError` for anything else —
+    a bool, a float (``1e400`` parses as infinity), a list, a negative
+    number — so the HTTP tier answers 400 and a batch line ``rejected``.
+    """
+    if top is not None and not _is_count(top):
+        raise ReproError(f"top must be a non-negative integer, got {top!r}")
+    return None if top is None else int(top)
 
 
 @dataclass(frozen=True)
@@ -178,8 +201,53 @@ class SamplingResponse:
         """The JSONL response record (schema in ``docs/serving.md``).
 
         ``top`` caps the emitted counts at the most frequent ``top``
-        outcomes (full counts by default).
+        outcomes (full counts by default).  A view for API callers: the
+        service writes :meth:`encode`, which yields these same bytes
+        without building the counts dict.
         """
+        top = check_top(top)
+        record = self._head()
+        if self.result is not None:
+            distinct = self.result.distinct_outcomes
+            if top is not None and distinct > top:
+                record["counts"] = dict(self.result.most_common(top))
+                record["counts_truncated"] = distinct - top
+            else:
+                record["counts"] = self.result.bitstring_counts()
+        return record
+
+    def encode(
+        self, top: Optional[int] = None, extra: Optional[Dict[str, Any]] = None
+    ) -> bytes:
+        """The response record as one JSON line, UTF-8, ending in a newline.
+
+        Byte-identical to ``json.dumps(record) + "\n"`` for the
+        ``to_dict(top)`` record with ``extra``'s fields appended (the
+        pool adds ``worker``).  The counts object is written straight
+        from the result's arrays (:meth:`SampleResult.counts_json`);
+        only the handful of scalar fields go through ``json.dumps``.
+        """
+        with _telemetry.span("service.encode"):
+            head = self._head()
+            tail: Dict[str, Any] = {}
+            if self.result is not None:
+                counts, truncated = self.result.counts_json(check_top(top))
+                if truncated is not None:
+                    tail["counts_truncated"] = truncated
+            tail.update(extra or {})
+            if self.result is None:
+                head.update(tail)
+                return (json.dumps(head) + "\n").encode("utf-8")
+            parts = [json.dumps(head)[:-1].encode("utf-8"), b', "counts": ', counts]
+            if tail:
+                parts += [b", ", json.dumps(tail)[1:].encode("utf-8")]
+            else:
+                parts.append(b"}")
+            parts.append(b"\n")
+            return b"".join(parts)
+
+    def _head(self) -> Dict[str, Any]:
+        """Every record field that precedes ``counts``, in schema order."""
         record: Dict[str, Any] = {
             "request_id": self.request_id,
             "status": self.status,
@@ -201,13 +269,6 @@ class SamplingResponse:
             record["num_qubits"] = self.result.num_qubits
             record["shots"] = self.result.shots
             record["method"] = self.result.method
-            counts = self.result.bitstring_counts()
-            if top is not None and len(counts) > top:
-                ranked = self.result.most_common(top)
-                record["counts"] = dict(ranked)
-                record["counts_truncated"] = len(counts) - top
-            else:
-                record["counts"] = counts
         return record
 
 
@@ -419,8 +480,27 @@ class SamplingService:
         return noise if noise is not None and noise.enabled else None
 
     def _validate(self, request: SamplingRequest) -> Optional[str]:
-        if request.shots < 0:
-            return f"shots must be non-negative, got {request.shots}"
+        for name in ("shots", "seed"):
+            value = getattr(request, name)
+            if value is None and name == "seed":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                return f"{name} must be an integer, got {value!r}"
+            if value < 0:
+                return f"{name} must be non-negative, got {value}"
+        # Bound shots before anything is allocated: the walk holds
+        # several per-shot buffers, so an absurd count would otherwise
+        # surface as a MemoryError (or an OOM-killed worker).  A policy
+        # may raise the bound through its dense cap; a cap lowered only
+        # to force the degradation ladder past the statevector rung
+        # does not shrink it below the default.
+        shot_cap = max(self.policy.dense_memory_cap_bytes, DEFAULT_MEMORY_CAP)
+        walk_bytes = request.shots * WALK_BYTES_PER_SHOT
+        if walk_bytes > shot_cap:
+            return (
+                f"{request.shots} shots need {walk_bytes} bytes of sampling "
+                f"buffers, over the service cap of {shot_cap}"
+            )
         if request.method not in DD_METHODS + VECTOR_METHODS:
             return f"unknown sampling method {request.method!r}"
         if request.workers is not None and request.method != "dd":
@@ -689,31 +769,34 @@ class SamplingService:
             try:
                 if outcome.backend == "dd":
                     compiled = outcome.compiled
-                    if request.workers is None:
-                        samples = compiled.sample(request.shots, rng)
-                    else:
-                        samples = sample_chunked(
-                            compiled.sample,
-                            request.shots,
-                            rng,
-                            workers=request.workers,
-                            chunk_shots=DEFAULT_CHUNK_SHOTS,
+                    with _telemetry.span("service.sample.walk"):
+                        if request.workers is None:
+                            samples = compiled.sample(request.shots, rng)
+                        else:
+                            samples = sample_chunked(
+                                compiled.sample,
+                                request.shots,
+                                rng,
+                                workers=request.workers,
+                                chunk_shots=DEFAULT_CHUNK_SHOTS,
+                            )
+                        # A reordered artifact samples in level space;
+                        # its recorded permutation moves every draw back
+                        # to the original qubit order (cold, disk, and
+                        # hot hits all carry the permutation in the
+                        # artifact meta, so the warm path stays
+                        # bit-identical to the cold one).
+                        level_to_qubit = (
+                            (outcome.meta or {}).get("reorder") or {}
+                        ).get("level_to_qubit")
+                        if level_to_qubit is not None and not is_identity_permutation(
+                            level_to_qubit
+                        ):
+                            samples = unpermute_samples(samples, level_to_qubit)
+                    with _telemetry.span("service.sample.counts"):
+                        result = SampleResult.from_samples(
+                            compiled.num_qubits, samples, method="dd"
                         )
-                    # A reordered artifact samples in level space; its
-                    # recorded permutation moves every draw back to the
-                    # original qubit order (cold, disk, and hot hits all
-                    # carry the permutation in the artifact meta, so the
-                    # warm path stays bit-identical to the cold one).
-                    level_to_qubit = ((outcome.meta or {}).get("reorder") or {}).get(
-                        "level_to_qubit"
-                    )
-                    if level_to_qubit is not None and not is_identity_permutation(
-                        level_to_qubit
-                    ):
-                        samples = unpermute_samples(samples, level_to_qubit)
-                    result = SampleResult.from_samples(
-                        compiled.num_qubits, samples, method="dd"
-                    )
                 elif outcome.backend == "statevector":
                     result = sample_statevector(
                         outcome.statevector,

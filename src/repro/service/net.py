@@ -17,7 +17,8 @@ Endpoints:
     (plus ``"worker"``), with the HTTP status mapped from the service
     status — 200 ``ok``, 400 ``rejected``, 500 ``error``, and 503 +
     ``Retry-After`` for ``deadline_exceeded`` (the build keeps running;
-    a retry hits the cache).
+    a retry hits the cache).  The worker encodes the body; the front
+    door writes its bytes through unchanged.
 ``POST /v1/batch``
     Body: many records, one per line.  Answer: JSONL, input order, one
     record per line; per-line failures (parse errors, shed shards)
@@ -53,6 +54,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import telemetry as _telemetry
 from ..exceptions import ReproError
+from .api import check_top
 from .pool import PoolClosedError, PoolSaturatedError, WorkerPool
 
 __all__ = [
@@ -424,8 +426,7 @@ class HttpFrontDoor:
         self, record: Dict[str, Any]
     ) -> "asyncio.Future[Dict[str, Any]]":
         """Route one record on the router thread pool; await-able result."""
-        top = record.get("top", self.top)
-        top = None if top is None else int(top)
+        top = check_top(record.get("top", self.top))
         loop = asyncio.get_running_loop()
         future = await loop.run_in_executor(
             self._router, self.pool.submit_record, record, top
@@ -453,10 +454,14 @@ class HttpFrontDoor:
         pending: "asyncio.Future[Dict[str, Any]]",
         record: Dict[str, Any],
     ) -> Tuple[int, Dict[str, Any]]:
-        """Await a worker reply, bounded; (HTTP status, response record)."""
+        """Await a worker reply, bounded; (HTTP status, payload).
+
+        A worker reply becomes ``{"__raw__": body}`` (plus its
+        ``retry_after``): the body the worker encoded goes out as is.
+        """
         timeout = self._reply_timeout(record)
         try:
-            response = await asyncio.wait_for(pending, timeout=timeout)
+            reply = await asyncio.wait_for(pending, timeout=timeout)
         except PoolClosedError as error:
             # The worker died with the request pending, or the pool
             # drained out from under it — retryable, not the client's
@@ -472,10 +477,10 @@ class HttpFrontDoor:
                 "error": f"no worker reply within {timeout:.0f}s",
                 "retry_after": 5,
             }
-        status = _STATUS_CODES.get(response.get("status"), 500)
-        if status == 503:
-            response.setdefault("retry_after", 2)
-        return status, response
+        payload: Dict[str, Any] = {"__raw__": reply["body"]}
+        if "retry_after" in reply:
+            payload["retry_after"] = reply["retry_after"]
+        return _STATUS_CODES.get(reply.get("status"), 500), payload
 
     async def _sample(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
         try:
@@ -544,9 +549,11 @@ class HttpFrontDoor:
             # Per-line failures stay per-line records — the batch
             # itself is always 200, even for a dead-worker reply.
             _status, slots[slot] = await self._await_reply(future, record)
-        raw = "".join(
-            json.dumps(record) + "\n" for record in slots if record is not None
-        ).encode("utf-8")
+        raw = b"".join(
+            payload["__raw__"] if "__raw__" in payload else _json_body(payload)
+            for payload in slots
+            if payload is not None
+        )
         return 200, {"__raw__": raw}
 
 

@@ -35,7 +35,11 @@ is only a last resort for a worker that ignores its sentinel.
 Tasks cross the process boundary as plain JSONL-schema dicts (the same
 records ``python -m repro.service`` reads), never as pickled circuit
 objects: the worker re-resolves the circuit itself, so the dispatcher
-and worker cannot disagree about what was requested.
+and worker cannot disagree about what was requested.  Replies come back
+the other way already encoded: the worker writes the response body once
+(:meth:`~repro.service.api.SamplingResponse.encode`) and ships those
+bytes with a small routing header, so no dict of counts is pickled
+across the queue or re-encoded by the front door.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import os
 import signal
 import threading
 import time
+import traceback
 from concurrent.futures import Future, InvalidStateError
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -160,6 +165,24 @@ class PoolConfig:
         return ServicePolicy(**kwargs)
 
 
+#: ``retry_after`` (seconds) written into a ``deadline_exceeded`` reply:
+#: the build keeps running, so a retry shortly after hits the cache.
+DEADLINE_RETRY_AFTER = 2
+
+#: Reply fields the dispatcher and front door read without decoding the
+#: body (``cache`` feeds the shard hit counters).
+_HEADER_FIELDS = ("request_id", "status", "cache", "error", "retry_after", "worker")
+
+
+def _reply_header(record: Dict[str, Any]) -> Dict[str, Any]:
+    """The small routing header of a reply: header fields that are set."""
+    return {
+        name: record[name]
+        for name in _HEADER_FIELDS
+        if record.get(name) is not None
+    }
+
+
 def _worker_main(
     index: int,
     config: PoolConfig,
@@ -181,14 +204,34 @@ def _worker_main(
         hot_entries=config.hot_entries,
     )
 
+    def reply(task_id: int, header: Dict[str, Any], body: bytes) -> None:
+        header["worker"] = index
+        header["body"] = body
+        result_queue.put((index, task_id, header))
+
     def emit(task_id: int, record: Dict[str, Any]) -> None:
+        """Reply with a record the worker wrote itself (no result)."""
         record["worker"] = index
-        result_queue.put((index, task_id, record))
+        body = (json.dumps(record) + "\n").encode("utf-8")
+        reply(task_id, _reply_header(record), body)
 
     def finish(task_id: int, top: Optional[int], future: Future) -> None:
         try:
             response = future.result()
-            emit(task_id, response.to_dict(top=top))
+            extra: Dict[str, Any] = {"worker": index}
+            if response.status == "deadline_exceeded":
+                extra["retry_after"] = DEADLINE_RETRY_AFTER
+            body = response.encode(top=top, extra=extra)
+            header = _reply_header(
+                {
+                    "request_id": response.request_id,
+                    "status": response.status,
+                    "cache": response.cache,
+                    "error": response.error,
+                    **extra,
+                }
+            )
+            reply(task_id, header, body)
         except Exception as error:  # pragma: no cover - defensive
             emit(task_id, {"status": "error", "error": str(error)})
 
@@ -199,7 +242,7 @@ def _worker_main(
             if kind == "stop":
                 break
             if kind == "stats":
-                emit(item[1], {"stats": service.stats()})
+                result_queue.put((index, item[1], {"stats": service.stats()}))
                 continue
             _, task_id, record, top = item
             try:
@@ -210,13 +253,27 @@ def _worker_main(
                 request = _request_from_record(
                     record, default_kernel=config.kernel
                 )
-            except (ReproError, ValueError, OSError) as error:
+            except (ReproError, ValueError, TypeError, OSError) as error:
                 emit(
                     task_id,
                     {
                         "request_id": record.get("request_id"),
                         "status": "rejected",
                         "error": str(error),
+                    },
+                )
+                continue
+            except Exception as error:
+                # A parser bug must cost one request (a 500), never the
+                # worker: an exception escaping this loop kills the
+                # process and every later request for its shard.
+                traceback.print_exc()
+                emit(
+                    task_id,
+                    {
+                        "request_id": record.get("request_id"),
+                        "status": "error",
+                        "error": f"{type(error).__name__}: {error}",
                     },
                 )
                 continue
@@ -246,9 +303,13 @@ class WorkerPool:
     """Consistent-hash-sharded pool of sampling-service processes.
 
     Usable as a context manager.  ``submit_record`` is thread-safe and
-    returns a :class:`concurrent.futures.Future` resolving to the
-    response record dict (JSONL schema plus a ``"worker"`` field) — the
-    asyncio front door awaits it via ``asyncio.wrap_future``.
+    returns a :class:`concurrent.futures.Future` resolving to a reply
+    dict — the asyncio front door awaits it via ``asyncio.wrap_future``.
+    A reply is a small header (``status``, ``request_id``, ``worker``,
+    and ``cache``/``error``/``retry_after`` when set) plus ``body``: the
+    response record (JSONL schema plus ``"worker"``) already encoded as
+    one JSON line, so the front door writes it without re-encoding.
+    ``json.loads(reply["body"])`` recovers the record.
     """
 
     def __init__(
@@ -360,8 +421,10 @@ class WorkerPool:
         if "circuit" not in record:
             raise ReproError("request is missing the 'circuit' field")
         _guard_qasm_spec(record["circuit"], self.config.qasm_file_root)
+        from .__main__ import int_field, resolve_circuit
+
         optimize = bool(record.get("optimize", True))
-        initial_state = int(record.get("initial_state", 0))
+        initial_state = int_field(record, "initial_state", 0)
         memo_key = (
             json.dumps(record["circuit"], sort_keys=True),
             optimize,
@@ -371,7 +434,6 @@ class WorkerPool:
             cached = self._routing_cache.get(memo_key)
         if cached is not None:
             return cached
-        from .__main__ import resolve_circuit
         from .keys import cache_key
 
         circuit = resolve_circuit(record["circuit"])

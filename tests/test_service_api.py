@@ -536,3 +536,38 @@ def test_counter_consistency_under_degradation_and_coalescing(tmp_path):
     counters = telemetry.registry.snapshot()["counters"]
     assert counters.get("service.builds", 0) == stats["builds"]
     assert counters.get("service.requests", 0) == stats["requests"]
+
+
+def test_huge_shot_count_is_rejected_before_allocating(tmp_path):
+    # 10**13 shots would need ~72.8 TiB of walk buffers: the service
+    # must refuse it in validation, not raise MemoryError.
+    with SamplingService(cache_dir=str(tmp_path)) as service:
+        response = service.sample(SamplingRequest(ghz(4), 10**13))
+        stats = service.stats()
+    assert response.status == "rejected"
+    assert "shots" in response.error
+    assert stats["builds"] == 0
+
+
+@pytest.mark.parametrize(
+    "field,value", [("shots", 2.5), ("shots", True), ("seed", -1), ("seed", 1.0)]
+)
+def test_non_integer_shots_and_seed_are_rejected(field, value):
+    with SamplingService() as service:
+        kwargs = {"shots": 10, "seed": 1, field: value}
+        response = service.sample(SamplingRequest(ghz(2), **kwargs))
+    assert response.status == "rejected"
+    assert field in response.error
+
+
+def test_sample_spans_split_walk_counts_and_encode(tmp_path):
+    telemetry = Telemetry()
+    with SamplingService(telemetry=telemetry) as service:
+        response = service.sample(SamplingRequest(ghz(3), 200, seed=1))
+        response.encode()
+    spans = {span.name: span for span in telemetry.tracer.spans}
+    for name in ("service.sample.walk", "service.sample.counts", "service.encode"):
+        assert name in spans
+    parent = spans["service.sample"]
+    assert spans["service.sample.walk"].parent_id == parent.span_id
+    assert spans["service.sample.counts"].parent_id == parent.span_id

@@ -269,3 +269,38 @@ def test_smoke_flag_passes(tmp_path, capsys):
     assert main(["--smoke", "--cache-dir", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert "serve-smoke ok" in captured.out
+
+
+def test_main_refuses_negative_top(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--top", "-1"])
+    assert info.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_batch_rejects_malformed_numbers_per_line(tmp_path):
+    lines = [
+        '{"request_id": "a", "circuit": "bell", "shots": 1e400}',
+        '{"request_id": "b", "circuit": "bell", "shots": [1]}',
+        '{"request_id": "c", "circuit": "ghz_4", "shots": 10000000000000}',
+        '{"request_id": "d", "circuit": "bell", "shots": 10, "seed": 1}',
+    ]
+    sink = io.StringIO()
+    with SamplingService() as service:
+        failures = run_batch(service, io.StringIO("\n".join(lines)), sink)
+    records = [json.loads(line) for line in sink.getvalue().splitlines()]
+    assert failures == 3
+    assert [r["status"] for r in records] == ["rejected"] * 3 + ["ok"]
+
+
+def test_batch_survives_a_non_string_qasm_spec():
+    lines = [
+        '{"request_id": "a", "circuit": {"qasm": 5}, "shots": 1}',
+        '{"request_id": "b", "circuit": "bell", "shots": 3, "seed": 1}',
+    ]
+    sink = io.StringIO()
+    with SamplingService() as service:
+        failures = run_batch(service, io.StringIO("\n".join(lines)), sink)
+    records = [json.loads(line) for line in sink.getvalue().splitlines()]
+    assert failures == 1
+    assert [r["status"] for r in records] == ["rejected", "ok"]

@@ -393,3 +393,78 @@ def test_draining_server_answers_503(tmp_path):
         assert health[0] == 503
         assert json.loads(health[2])["status"] == "draining"
     assert pool.exit_codes() == [0]
+
+
+# ---------------------------------------------------------------------------
+# Malformed numbers, top, and huge shot counts answer 400
+# ---------------------------------------------------------------------------
+
+
+def test_malformed_numbers_and_top_answer_400_and_worker_survives(tmp_path):
+    pool = _pool(tmp_path)
+    bodies = [
+        b'{"circuit": "bell", "shots": 1e400}',
+        b'{"circuit": "bell", "shots": [1]}',
+        b'{"circuit": "bell", "shots": 10, "seed": 1e400}',
+        b'{"circuit": "bell", "shots": 10, "top": 1e400}',
+        b'{"circuit": "bell", "shots": 10, "top": -1}',
+        b'{"circuit": "bell", "shots": 10, "top": true}',
+        b'{"circuit": "bell", "shots": 10, "initial_state": 1e400}',
+        b'{"circuit": "ghz_4", "shots": 10000000000000}',
+    ]
+
+    async def scenario(front):
+        answers = [
+            await http_request(front.host, front.port, "POST", "/v1/sample", body=body)
+            for body in bodies
+        ]
+        after = await post_json(
+            front.host, front.port, "/v1/sample", {"circuit": "bell", "shots": 10, "seed": 1}
+        )
+        return answers, after, pool.workers_alive()
+
+    answers, after, alive = _run(_with_server(pool, scenario))
+    for body, (status, _headers, payload) in zip(bodies, answers):
+        assert status == 400, (body, payload)
+        assert json.loads(payload)["status"] == "rejected"
+    assert after[0] == 200 and after[1]["status"] == "ok"
+    assert alive == 1
+    assert pool.exit_codes() == [0]
+
+
+def test_batch_lines_with_bad_top_or_numbers_are_rejected(tmp_path):
+    pool = _pool(tmp_path)
+    lines = [
+        '{"request_id": "a", "circuit": "bell", "shots": 10, "seed": 1, "top": -1}',
+        '{"request_id": "b", "circuit": "bell", "shots": 1e400}',
+        '{"request_id": "c", "circuit": "bell", "shots": 10, "seed": 1, "top": 1}',
+    ]
+
+    async def scenario(front):
+        return await http_request(
+            front.host, front.port, "POST", "/v1/batch", body="\n".join(lines).encode()
+        )
+
+    status, _headers, body = _run(_with_server(pool, scenario))
+    assert status == 200
+    records = [json.loads(line) for line in body.decode().splitlines()]
+    assert [r["status"] for r in records] == ["rejected", "rejected", "ok"]
+    assert "top" in records[0]["error"]
+    assert records[2]["counts_truncated"] == 1 and len(records[2]["counts"]) == 1
+
+
+def test_sample_body_is_the_encoded_record_byte_for_byte(tmp_path):
+    pool = _pool(tmp_path)
+    record = {"request_id": "x", "circuit": "ghz_4", "shots": 500, "seed": 9}
+
+    async def scenario(front):
+        return await http_request(
+            front.host, front.port, "POST", "/v1/sample", body=json.dumps(record).encode()
+        )
+
+    status, _headers, body = _run(_with_server(pool, scenario))
+    assert status == 200
+    decoded = json.loads(body)
+    # The body is exactly what json.dumps writes for the decoded record.
+    assert body == (json.dumps(decoded) + "\n").encode()
+    assert list(decoded)[-1] == "worker"

@@ -8,6 +8,8 @@ the ring assigns for its artifact key, responses are bit-identical to
 leaves no hung futures and no crashed workers.
 """
 
+import json
+
 import pytest
 
 from repro.core.weak_sim import simulate_and_sample
@@ -60,8 +62,12 @@ def test_round_trip_bit_identical_and_sharded(tmp_path):
         reference = simulate_and_sample(
             resolve_circuit(name), shots, method="dd", seed=seed
         ).counts
-        for response in responses[name]:
-            assert response["status"] == "ok"
+        for reply in responses[name]:
+            assert reply["status"] == "ok"
+            assert reply["worker"] == expected_worker[name]
+            # The counts travel only in the encoded body.
+            assert "counts" not in reply
+            response = json.loads(reply["body"])
             got = {int(k, 2): v for k, v in response["counts"].items()}
             assert got == reference
             assert response["worker"] == expected_worker[name]
@@ -255,3 +261,54 @@ def test_close_is_idempotent(tmp_path):
     pool.close()
     pool.close()
     assert pool.exit_codes() == [0]
+
+
+# ---------------------------------------------------------------------------
+# Malformed numbers never kill a worker
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("shots", float("inf")),  # what json.loads makes of 1e400
+        ("shots", [1]),
+        ("shots", True),
+        ("shots", 2.0),
+        ("seed", float("inf")),
+        ("workers", [2]),
+        ("initial_state", "0"),
+        ("deadline_seconds", float("inf")),
+    ],
+)
+def test_malformed_number_is_rejected_and_worker_survives(tmp_path, field, value):
+    with WorkerPool(workers=1, config=PoolConfig()) as pool:
+        record = _record("bell", 10, 1, "bad")
+        record[field] = value
+        if field == "initial_state":
+            # The dispatcher reads initial_state for routing: refused
+            # there, before any worker sees it.
+            with pytest.raises(ReproError, match="initial_state"):
+                pool.submit_record(record)
+        else:
+            reply = pool.submit_record(record).result(timeout=60)
+            assert reply["status"] == "rejected"
+            assert field in reply["error"]
+            assert json.loads(reply["body"])["status"] == "rejected"
+        assert pool.workers_alive() == 1
+        follow_up = pool.submit_record(_record("bell", 10, 1)).result(timeout=60)
+        assert follow_up["status"] == "ok"
+        assert pool.workers_alive() == 1
+    assert pool.exit_codes() == [0]
+
+
+def test_deadline_reply_carries_retry_after_in_header_and_body(tmp_path):
+    with WorkerPool(workers=1, config=PoolConfig(cache_dir=str(tmp_path))) as pool:
+        record = _record("qft_10", 200_000, 1, "late")
+        record["deadline_seconds"] = 1e-6
+        reply = pool.submit_record(record).result(timeout=120)
+    assert reply["status"] == "deadline_exceeded"
+    assert reply["retry_after"] == 2
+    body = json.loads(reply["body"])
+    assert list(body)[-2:] == ["worker", "retry_after"]
+    assert body["retry_after"] == 2
