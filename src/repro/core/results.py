@@ -82,6 +82,11 @@ class SampleResult:
     Construct from a ``counts`` dict, or from parallel ``outcomes`` /
     ``frequencies`` arrays (:meth:`from_samples` does the latter).
     Either way the iteration order of ``counts`` is the order given.
+
+    The arrays are the storage and ``counts`` is a read-only view of
+    them: editing that dict in place does not change ``shots``,
+    :meth:`most_common`, :meth:`to_array` or the encoded counts.
+    Assign a new dict to ``counts`` instead; the result keeps a copy.
     """
 
     def __init__(
@@ -177,8 +182,8 @@ class SampleResult:
     def counts(self) -> Dict[int, int]:
         """``{basis index: count}`` in iteration order, built on first use.
 
-        A view: assign a new dict to replace the counts rather than
-        mutating this one.
+        A read-only view: assign a new dict to replace the counts
+        rather than mutating this one.
         """
         if self._counts is None:
             self._counts = dict(
@@ -188,7 +193,8 @@ class SampleResult:
 
     @counts.setter
     def counts(self, counts: Dict[int, int]) -> None:
-        """Replace the counts; the dict's order becomes the arrays' order."""
+        """Replace the counts with a copy; its order becomes the arrays'."""
+        counts = dict(counts)
         self._set_arrays(
             _outcome_array(list(counts)),
             np.fromiter(counts.values(), dtype=np.int64, count=len(counts)),
@@ -250,28 +256,15 @@ class SampleResult:
     def _ranked(self, limit: Optional[int] = None) -> np.ndarray:
         """Row indices by descending count, ties by ascending index.
 
-        ``limit`` keeps the first ``limit`` (slice semantics); when it
-        cuts, the cut is made with a partition before anything is
-        sorted.
+        ``limit`` keeps the first ``limit`` (slice semantics).
         """
         outcomes, frequencies = self._outcomes, self._frequencies
-        size = len(outcomes)
         if outcomes.dtype == object:
-            order = sorted(range(size), key=lambda i: (-frequencies[i], outcomes[i]))
+            order = sorted(
+                range(len(outcomes)), key=lambda i: (-frequencies[i], outcomes[i])
+            )
             return np.array(order, dtype=np.intp)[:limit]
-        if limit is None or not 0 <= limit < size:
-            return np.lexsort((outcomes, -frequencies))[:limit]
-        if limit == 0:
-            return np.zeros(0, dtype=np.intp)
-        kth = size - limit
-        threshold = np.partition(frequencies, kth)[kth]
-        chosen = np.flatnonzero(frequencies > threshold)
-        tied = np.flatnonzero(frequencies == threshold)
-        needed = limit - len(chosen)
-        if needed < len(tied):
-            tied = tied[np.argsort(outcomes[tied], kind="stable")[:needed]]
-        chosen = np.concatenate([chosen, tied])
-        return chosen[np.lexsort((outcomes[chosen], -frequencies[chosen]))]
+        return np.lexsort((outcomes, -frequencies))[:limit]
 
     def most_common(self, limit: int = 10) -> List[Tuple[str, int]]:
         """The ``limit`` most frequent outcomes as (bitstring, count)."""

@@ -482,24 +482,16 @@ class SamplingService:
     def _validate(self, request: SamplingRequest) -> Optional[str]:
         for name in ("shots", "seed"):
             value = getattr(request, name)
-            if value is None and name == "seed":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                return f"{name} must be an integer, got {value!r}"
-            if value < 0:
-                return f"{name} must be non-negative, got {value}"
+            if (value is not None or name == "shots") and not _is_count(value):
+                return f"{name} must be a non-negative integer, got {value!r}"
         # Bound shots before anything is allocated: the walk holds
         # several per-shot buffers, so an absurd count would otherwise
-        # surface as a MemoryError (or an OOM-killed worker).  A policy
-        # may raise the bound through its dense cap; a cap lowered only
-        # to force the degradation ladder past the statevector rung
-        # does not shrink it below the default.
-        shot_cap = max(self.policy.dense_memory_cap_bytes, DEFAULT_MEMORY_CAP)
+        # surface as a MemoryError (or an OOM-killed worker).
         walk_bytes = request.shots * WALK_BYTES_PER_SHOT
-        if walk_bytes > shot_cap:
+        if walk_bytes > DEFAULT_MEMORY_CAP:
             return (
                 f"{request.shots} shots need {walk_bytes} bytes of sampling "
-                f"buffers, over the service cap of {shot_cap}"
+                f"buffers, over the service cap of {DEFAULT_MEMORY_CAP}"
             )
         if request.method not in DD_METHODS + VECTOR_METHODS:
             return f"unknown sampling method {request.method!r}"

@@ -346,7 +346,9 @@ def test_out_of_range_samples_raise_like_the_dict_implementation():
 
 def test_counts_assignment_rekeys_the_arrays():
     result = SampleResult.from_samples(2, [0, 1, 1])
-    result.counts = {3: 4, 0: 1}
+    counts = {3: 4, 0: 1}
+    result.counts = counts
+    counts[3] = 100
     assert result.shots == 5
     assert result.outcomes.tolist() == [3, 0]
     assert result.most_common(1) == [("11", 4)]
